@@ -1,19 +1,17 @@
 """Parallel trial engine: fan-out speedup and cache-replay speedup.
 
 Not a paper experiment — a performance benchmark of the replication
-substrate itself. A 30-trial ``replicate()`` at N=49 is timed five
+substrate itself. A 30-trial ``replicate()`` at N=49 is timed three
 ways: serial (workers=1, cold), 4 workers with chunked process dispatch
-(cold), 4 workers with threaded dispatch (cold), the same chunked run
-again as a cache-hit replay, plus the chunked/serial and
-threaded/serial ratios. The measured wall-clocks land in
+(cold), and the same chunked run again as a cache-hit replay, plus the
+chunked/serial ratio. The measured wall-clocks land in
 ``BENCH_parallel_engine.json`` so EXPERIMENTS.md and CI can track them.
 
 The parallel speedup assertion is gated on the host actually having the
 cores: on a single-CPU container four workers cannot beat one, and a
 benchmark must not assert physics away — there the chunked path's
 contract is *not losing* to serial (the engine degrades to in-process,
-so the ratio must stay ~1.0x). Threaded dispatch is GIL-bound on this
-pure-Python compute, so it is recorded, not asserted. The cache-replay
+so the ratio must stay ~1.0x). The cache-replay
 speedup has no core-count dependence (a hit skips the simulation
 entirely) and is asserted everywhere.
 """
@@ -61,25 +59,20 @@ def test_bench_parallel_replicate_speedup(benchmark, tmp_path):
 
     cache = RunCache(tmp_path / "trials")
     chunked_s, chunked_rep = benchmark.pedantic(
-        lambda: _timed(workers=4, cache=cache, dispatch="process"),
+        lambda: _timed(workers=4, cache=cache),
         rounds=1,
         iterations=1,
     )
-    threaded_s, threaded_rep = _timed(
-        workers=4, dispatch="thread", chunk_size=4
-    )
     replay_s, replay_rep = _timed(
-        workers=4, cache=RunCache(tmp_path / "trials"), dispatch="process"
+        workers=4, cache=RunCache(tmp_path / "trials")
     )
 
     # Determinism first: every dispatch path must agree sample-for-sample.
     assert chunked_rep.samples == serial_rep.samples
-    assert threaded_rep.samples == serial_rep.samples
     assert replay_rep.samples == serial_rep.samples
 
     cpus = os.cpu_count() or 1
     chunked_speedup = serial_s / chunked_s
-    threaded_speedup = serial_s / threaded_s
     payload = {
         "benchmark": "parallel_engine",
         "config": {"algorithm": "cao-singhal", "n_sites": N_SITES,
@@ -88,16 +81,14 @@ def test_bench_parallel_replicate_speedup(benchmark, tmp_path):
         "host_cpus": cpus,
         "serial_seconds": round(serial_s, 3),
         "chunked4_seconds": round(chunked_s, 3),
-        "threaded4_seconds": round(threaded_s, 3),
         "cache_replay_seconds": round(replay_s, 3),
         "chunked_speedup": round(chunked_speedup, 2),
-        "threaded_speedup": round(threaded_speedup, 2),
         "cache_replay_speedup": round(serial_s / replay_s, 2),
         "sync_delay_mean_t": serial_rep.mean,
     }
     path = archive_json("parallel_engine", payload)
     print(f"\n{TRIALS} trials @ N={N_SITES}: serial {serial_s:.2f}s, "
-          f"chunked x4 {chunked_s:.2f}s, threaded x4 {threaded_s:.2f}s, "
+          f"chunked x4 {chunked_s:.2f}s, "
           f"cache replay {replay_s:.2f}s ({cpus} CPUs) -> {path.name}")
 
     # Replay skips the simulations entirely: > 2x everywhere.

@@ -18,8 +18,7 @@ lives in ``tests/test_kernel_equivalence.py``) and archives the measured
 throughput in ``BENCH_sim_kernel.json``.
 
 The ≥2.0× speedup target (raised from 1.3× after the cohort-batched
-main loop, message-construction slimming, and delivery fast path
-landed) is asserted softly (warn, don't fail) because CI containers
+main loop and message-construction slimming landed) is asserted softly (warn, don't fail) because CI containers
 have wildly varying single-core performance; the archived JSON is the
 artifact reviewers check, and the CI trend gate compares runs of the
 same workflow against the committed artifact rather than against an

@@ -76,14 +76,13 @@ def replicate(
     workers: Optional[int] = None,
     cache: Optional["RunCache"] = None,
     chunk_size: Optional[int] = None,
-    dispatch: Optional[str] = None,
 ) -> Replication:
     """Run ``config`` once per seed and aggregate ``metric``.
 
     The config's workload object is shared across runs (workloads are
     stateless descriptors), but each run gets its own simulator and RNG
-    streams derived from the seed. ``workers``, ``cache``,
-    ``chunk_size``, and ``dispatch`` are passed straight to
+    streams derived from the seed. ``workers``, ``cache``, and
+    ``chunk_size`` are passed straight to
     :class:`~repro.parallel.TrialPool`; none affects the samples, only
     how fast they are produced.
     """
@@ -92,7 +91,7 @@ def replicate(
     from repro.parallel.pool import TrialPool
 
     summaries = TrialPool(
-        workers=workers, cache=cache, chunk_size=chunk_size, dispatch=dispatch
+        workers=workers, cache=cache, chunk_size=chunk_size
     ).run_seeds(config, seeds)
     return Replication(
         metric=metric_name, samples=[metric(s) for s in summaries]

@@ -17,17 +17,14 @@ from repro.parallel.cache import (
     fingerprint,
 )
 from repro.parallel.pool import (
-    DISPATCH_ENV,
     WORKERS_ENV,
     TrialPool,
-    resolve_dispatch,
     resolve_workers,
     run_trials,
 )
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "DISPATCH_ENV",
     "PROTOCOL_VERSION",
     "RunCache",
     "TrialPool",
@@ -35,7 +32,6 @@ __all__ = [
     "default_cache_dir",
     "describe_config",
     "fingerprint",
-    "resolve_dispatch",
     "resolve_workers",
     "run_trials",
 ]

@@ -16,28 +16,15 @@ count or completion order. Three consequences drive the design:
   in the parent with the offending trial's seed attached
   (``exc.trial_seed`` and appended to the message), choosing the first
   failure in input order so even the error is deterministic.
-* **Graceful degradation.** ``workers=1`` (or a single pending trial)
-  runs in-process with no pickling at all; configs that cannot be
-  pickled (e.g. a lambda ``cs_duration``) fall back to threaded
-  dispatch (no process boundary, no pickling) with a warning instead
-  of crashing.
+* **Graceful degradation.** The batch runs in-process, one trial after
+  another and with no pickling at all, whenever a pool cannot help:
+  one worker, one chunk, a 1-CPU host, or configs that cannot be
+  pickled (e.g. a lambda ``cs_duration``, which also warns).
 
 Dispatch is **chunked**: pending trials are grouped into runs of
 ``chunk_size`` and each chunk crosses the worker boundary as one unit,
 so a sweep of hundreds of 10ms trials pays per-chunk (not per-trial)
-pickling and scheduling overhead. The backend is selected by the
-``dispatch`` argument / ``REPRO_DISPATCH`` environment variable:
-
-``process``
-    ``ProcessPoolExecutor`` — true parallelism, needs picklable configs.
-``thread``
-    ``ThreadPoolExecutor`` — GIL-bound (the sims are pure Python
-    compute, so expect ~1x throughput), but zero pickling; useful for
-    unpicklable configs and as an overhead floor on small hosts.
-``auto`` (default)
-    Processes when the host has >1 CPU and the configs pickle, threads
-    when they don't, straight in-process when neither pool can help
-    (one worker, one chunk, or a 1-CPU host).
+pickling and scheduling overhead.
 """
 
 from __future__ import annotations
@@ -45,7 +32,7 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -56,12 +43,6 @@ from repro.parallel.cache import RunCache
 
 #: Environment override for the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment override for the dispatch backend.
-DISPATCH_ENV = "REPRO_DISPATCH"
-
-#: Valid dispatch backends.
-_DISPATCH_MODES = ("auto", "process", "thread")
 
 #: One trial's outcome, shaped for transport across the process boundary.
 #: The payload is a RunSummary for mutex trials, an arbitrary picklable
@@ -86,17 +67,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def resolve_dispatch(dispatch: Optional[str] = None) -> str:
-    """Effective backend: explicit > ``$REPRO_DISPATCH`` > ``auto``."""
-    if dispatch is None:
-        dispatch = os.environ.get(DISPATCH_ENV) or "auto"
-    if dispatch not in _DISPATCH_MODES:
-        raise ConfigurationError(
-            f"dispatch must be one of {_DISPATCH_MODES}, got {dispatch!r}"
-        )
-    return dispatch
 
 
 def _auto_chunk(n_trials: int, workers: int) -> int:
@@ -156,8 +126,7 @@ class TrialPool:
     ``REPRO_WORKERS`` environment variable); pass ``cache`` to reuse and
     record results across runs. ``chunk_size`` fixes how many trials
     cross the worker boundary per dispatch (default: computed so each
-    worker gets ~2 chunks); ``dispatch`` picks the backend (``auto`` |
-    ``process`` | ``thread``, default from ``$REPRO_DISPATCH``).
+    worker gets ~2 chunks).
     """
 
     def __init__(
@@ -165,7 +134,6 @@ class TrialPool:
         workers: Optional[int] = None,
         cache: Optional[RunCache] = None,
         chunk_size: Optional[int] = None,
-        dispatch: Optional[str] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.cache = cache
@@ -174,7 +142,6 @@ class TrialPool:
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
         self.chunk_size = chunk_size
-        self.dispatch = resolve_dispatch(dispatch)
 
     # -- execution ---------------------------------------------------------
 
@@ -236,12 +203,10 @@ class TrialPool:
         workers = min(self.workers, n_trials)
         chunk = self.chunk_size or _auto_chunk(n_trials, workers)
 
-        mode = self.dispatch
-        if mode != "thread" and workers > 1 and not self._picklable(pending):
-            # Threads share the parent's heap: no pickling, so the only
-            # usable pool for an unpicklable config.
-            mode = "thread"
-        if mode != "thread" and workers > 1 and (os.cpu_count() or 1) < 2:
+        if workers > 1 and not self._picklable(pending):
+            # No process boundary can carry these configs: run here.
+            workers = 1
+        if workers > 1 and (os.cpu_count() or 1) < 2:
             # Degenerate host: with one CPU a process pool can only add
             # fork, pickle, and scheduling overhead (measured ~0.98x
             # speedup), so even an explicit workers>1 degrades.
@@ -252,10 +217,7 @@ class TrialPool:
             return _run_chunk(configs)
 
         chunks = [configs[i : i + chunk] for i in range(0, n_trials, chunk)]
-        executor = (
-            ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-        )
-        with executor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, chunks))
         return [outcome for part in parts for outcome in part]
 
@@ -267,8 +229,8 @@ class TrialPool:
         except Exception:
             warnings.warn(
                 "trial config is not picklable (callable cs_duration or "
-                "workload?); using threaded dispatch instead of a "
-                "process pool",
+                "workload?); running the trials in-process instead of in "
+                "a process pool",
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -378,11 +378,9 @@ class Network:
         "_now",
         "_last_delivery",
         "_deliver_cb",
-        "_deliver_fn",
         "_crashed",
         "_incarnation",
         "_severed",
-        "_ever_faulted",
         "_faults",
         "_fault_rng",
         "_burst_bad",
@@ -423,11 +421,6 @@ class Network:
         self._now = now
         self._last_delivery: Dict[Tuple[SiteId, SiteId], float] = {}
         self._deliver_cb: Optional[DeliverCallback] = None
-        #: The callback scheduled for each due message. Defaults to the
-        #: layered :meth:`_deliver` (drop checks here, then the delivery
-        #: callback); the simulator replaces it with its fused
-        #: ``_deliver_event`` so a due message costs one Python call.
-        self._deliver_fn: Callable[..., None] = self._deliver
         self._crashed: Set[SiteId] = set()
         #: Per-site crash count. A message in flight remembers its
         #: sender's incarnation at send time; a mismatch at delivery time
@@ -435,10 +428,6 @@ class Network:
         #: drop the message — even if the sender has already recovered.
         self._incarnation: Dict[SiteId, int] = {}
         self._severed: Set[Tuple[SiteId, SiteId]] = set()
-        #: Latched True by the first :meth:`crash` or :meth:`sever` and
-        #: never cleared; while False, every delivery-time drop check is
-        #: vacuous, which the simulator's fast delivery path exploits.
-        self._ever_faulted = False
         if fault_model is not None and fault_rng is None:
             raise ConfigurationError(
                 "a fault model needs its own RNG stream (fault_rng)"
@@ -464,16 +453,6 @@ class Network:
         """Register the single delivery callback (set by the simulator)."""
         self._deliver_cb = callback
 
-    def set_deliver_event(self, fn: Callable[..., None]) -> None:
-        """Install a fused due-message callback (simulator optimization).
-
-        ``fn(src, dst, payload, latency, inc)`` replaces the layered
-        :meth:`_deliver` → delivery-callback chain for every subsequently
-        scheduled message. The caller owns replicating :meth:`_deliver`'s
-        drop checks and accounting in the exact same order.
-        """
-        self._deliver_fn = fn
-
     # -- failure injection -------------------------------------------------
 
     def crash(self, site: SiteId) -> None:
@@ -485,7 +464,6 @@ class Network:
         the site's incarnation, so its pre-crash traffic can never
         arrive late, not even after the site recovers.
         """
-        self._ever_faulted = True
         self._crashed.add(site)
         self._incarnation[site] = self._incarnation.get(site, 0) + 1
 
@@ -495,7 +473,6 @@ class Network:
 
     def sever(self, a: SiteId, b: SiteId) -> None:
         """Cut the bidirectional link between ``a`` and ``b``."""
-        self._ever_faulted = True
         self._severed.add((a, b))
         self._severed.add((b, a))
 
@@ -648,7 +625,7 @@ class Network:
         inc = self._incarnation.get(src, 0) if self._incarnation else 0
         self._schedule(
             deliver_at,
-            self._deliver_fn,
+            self._deliver,
             (src, dst, payload, deliver_at - now, inc),
             type_name,
         )
@@ -660,7 +637,7 @@ class Network:
             dup_delay = self._sample(self._fault_rng, src, dst) * self._delay_factor
             self._schedule(
                 now + dup_delay,
-                self._deliver_fn,
+                self._deliver,
                 (src, dst, payload, dup_delay, inc),
                 type_name,
             )
@@ -675,82 +652,10 @@ class Network:
         piggybacked: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        """Batch delivery path: one payload to several destinations.
-
-        Semantically identical to calling :meth:`send` once per
-        destination, in order — same per-channel delay samples (drawn in
-        destination order from the same RNG), same FIFO clamps, same
-        counters — but the clock, stats dicts, and scheduler are bound
-        once per batch instead of once per message, and consecutive sends
-        to the same destination reuse the bound channel state. This is
-        the quorum-broadcast fast path (a requester asks every member of
-        its ``req_set`` in one call).
-
-        With a fault model installed the batch degrades to per-message
-        :meth:`send` calls so every fault decision consumes the fault RNG
-        stream in the exact order of the unbatched path.
-        """
-        if self._faults is not None:
-            for dst in dsts:
-                self.send(src, dst, payload, type_name, piggybacked, now)
-            return
-        if self._deliver_cb is None:
-            raise SimulationError("network has no delivery callback installed")
-        stats = self.stats
-        crashed = self._crashed
-        severed = self._severed
-        check_drop = bool(crashed or severed)
-        by_type = stats.by_type
-        by_destination = stats.by_destination
-        if now is None:
-            now = self._now()
-        low = self._uniform_low
-        span = self._uniform_span
-        rng_random = self._rng_random
-        sample = self._sample
-        rng = self._rng
-        last_delivery = self._last_delivery
-        schedule = self._schedule
-        deliver_fn = self._deliver_fn
-        inc = self._incarnation.get(src, 0) if self._incarnation else 0
-        sent = 0
+        """Send one payload to several destinations: :meth:`send` once
+        per destination, in order."""
         for dst in dsts:
-            if src == dst:
-                raise SimulationError(
-                    "self-delivery must be handled locally by the node layer, "
-                    f"site {src} tried to send {type_name} to itself"
-                )
-            if check_drop and (
-                src in crashed or dst in crashed or (src, dst) in severed
-            ):
-                stats.messages_dropped += 1
-                continue
-            sent += 1
-            by_type[type_name] = by_type.get(type_name, 0) + 1
-            by_destination[dst] = by_destination.get(dst, 0) + 1
-            if low is not None:
-                delay = low + span * rng_random()
-            else:
-                delay = sample(rng, src, dst)
-                if delay <= 0:
-                    raise SimulationError(
-                        f"delay model produced non-positive delay {delay}"
-                    )
-            deliver_at = now + delay
-            channel = (src, dst)
-            prev = last_delivery.get(channel)
-            if prev is not None:
-                fifo_floor = prev + 1e-9  # FIFO_EPSILON
-                if deliver_at < fifo_floor:
-                    deliver_at = fifo_floor
-            last_delivery[channel] = deliver_at
-            schedule(
-                deliver_at,
-                deliver_fn,
-                (src, dst, payload, deliver_at - now, inc),
-                type_name,
-            )
-        stats.messages_sent += sent
+            self.send(src, dst, payload, type_name, piggybacked, now)
 
     def _deliver(
         self,
@@ -760,7 +665,12 @@ class Network:
         latency: float,
         inc: int = 0,
     ) -> None:
-        """Hand a due message to the delivery callback unless dropped."""
+        """Hand a due message to the delivery callback unless dropped.
+
+        The only place the delivery-time drop rules live: a crashed
+        endpoint, a sender that crashed since sending (incarnation
+        mismatch), or a severed link.
+        """
         if self._crashed and (dst in self._crashed or src in self._crashed):
             self.stats.messages_dropped += 1
             return

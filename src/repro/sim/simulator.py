@@ -24,6 +24,7 @@ convenience wrapper.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -51,7 +52,6 @@ class Simulator:
         "trace",
         "network",
         "transport",
-        "_plain_delivery",
         "events_processed",
         "last_event_time",
     )
@@ -99,18 +99,9 @@ class Simulator:
             ),
         )
         self.network.on_deliver(self._dispatch)
-        # Fused delivery: the network schedules this simulator method
-        # directly for due messages, collapsing the former two-hop
-        # ``Network._deliver`` → ``Simulator._dispatch`` chain into one
-        # callback per message. The checks run in the exact order of the
-        # two-hop path, so drop accounting and traces are byte-identical.
-        self.network.set_deliver_event(self._deliver_event)
         #: Optional reliable-channel layer (see :meth:`install_transport`);
         #: ``None`` means nodes talk straight to the raw network.
         self.transport: Optional["ReliableTransport"] = None
-        #: True once start() has established that deliveries need no
-        #: transport hop and no trace record (fast-path precondition).
-        self._plain_delivery = False
         #: Number of events processed so far (cheap progress/health metric).
         self.events_processed = 0
         #: Time of the most recently processed event. Unlike :attr:`now`,
@@ -154,18 +145,6 @@ class Simulator:
         if self._started:
             return
         self._started = True
-        # Deliveries may take the check-free fast path only when nothing
-        # sits between the network and the node callback (see
-        # :meth:`_deliver_event`); both conditions are fixed by start time.
-        self._plain_delivery = self.transport is None and not self.trace.enabled
-        if self.transport is None:
-            # No reliable-channel layer: nodes may talk straight to the
-            # raw network, skipping the per-send transport check in
-            # :meth:`send`. The fast path is bound per node here because
-            # transports can only be installed before start().
-            network_send = self.network.send
-            for node in self.nodes.values():
-                node._net_send = network_send
         for node in self.nodes.values():
             node.on_start()
 
@@ -249,19 +228,10 @@ class Simulator:
         type_name: str,
         piggybacked: bool = False,
     ) -> None:
-        """Accept one protocol message addressed to several sites.
-
-        The batched counterpart of :meth:`send`, used for quorum
-        broadcasts. With a transport installed it degrades to one
-        transport send per destination (channels are stateful); on the
-        raw network it takes :meth:`Network.send_many`'s batch path.
-        """
-        transport = self.transport
-        if transport is not None:
-            for dst in dsts:
-                transport.send(src, dst, message, type_name, piggybacked)
-            return
-        self.network.send_many(src, dsts, message, type_name, piggybacked, self._now)
+        """Accept one protocol message addressed to several sites:
+        :meth:`send` once per destination, in order."""
+        for dst in dsts:
+            self.send(src, dst, message, type_name, piggybacked)
 
     def raw_send(
         self,
@@ -286,7 +256,8 @@ class Simulator:
     # -- delivery ------------------------------------------------------------
 
     def _dispatch(self, src: SiteId, dst: SiteId, payload: Any) -> None:
-        """Deliver a message to its destination node."""
+        """Deliver a message that survived :meth:`Network._deliver`'s drop
+        checks to its destination node (or to the transport)."""
         node = self.nodes.get(dst)
         if node is None:
             raise SimulationError(f"message addressed to unknown site {dst}")
@@ -305,70 +276,9 @@ class Simulator:
             trace.record(self._now, "deliver", dst, payload)
         node.on_message(src, payload)
 
-    def _deliver_event(
-        self,
-        src: SiteId,
-        dst: SiteId,
-        payload: Any,
-        latency: float,
-        inc: int = 0,
-    ) -> None:
-        """Fused due-message delivery (network drop checks + node dispatch).
-
-        Scheduled by :meth:`Network.send` in place of the two-hop
-        ``Network._deliver`` → :meth:`_dispatch` chain. Every check runs in
-        the same order as the layered path: network-level drops (crash,
-        incarnation, severed link) first, then delivered/latency
-        accounting, then node-level dispatch — so all counters, traces,
-        and error paths are byte-identical, one Python call cheaper.
-
-        Fast path: while no crash or link cut has *ever* happened
-        (``Network._ever_faulted``), every network-level drop check is
-        vacuously false — the crashed/severed/incarnation tables are all
-        empty — so a plain run (no transport, no trace) skips straight to
-        the counters and the node callback. The flag latches one way
-        (recover/heal never clear it), so in-flight messages sent before
-        the first fault are still drop-checked after it.
-        """
-        network = self.network
-        if self._plain_delivery and not network._ever_faulted:
-            stats = network.stats
-            stats.messages_delivered += 1
-            stats.total_latency += latency
-            node = self.nodes.get(dst)
-            if node is None:
-                raise SimulationError(f"message addressed to unknown site {dst}")
-            if node.crashed:
-                stats.messages_dropped += 1
-                return
-            node.on_message(src, payload)
-            return
-        stats = network.stats
-        if network._crashed and (dst in network._crashed or src in network._crashed):
-            stats.messages_dropped += 1
-            return
-        if network._incarnation and inc != network._incarnation.get(src, 0):
-            stats.messages_dropped += 1
-            return
-        if network._severed and (src, dst) in network._severed:
-            stats.messages_dropped += 1
-            return
-        stats.messages_delivered += 1
-        stats.total_latency += latency
-        node = self.nodes.get(dst)
-        if node is None:
-            raise SimulationError(f"message addressed to unknown site {dst}")
-        if node.crashed:
-            stats.messages_dropped += 1
-            return
-        transport = self.transport
-        if transport is not None:
-            transport.on_network_deliver(src, dst, payload)
-            return
-        trace = self.trace
-        if trace.enabled:
-            trace.record(self._now, "deliver", dst, payload)
-        node.on_message(src, payload)
+    # Kept as a name because perfbench/tracer.py wraps every entry point
+    # it lists and raises when one is missing.
+    _deliver_event = _dispatch
 
     def deliver_protocol(self, src: SiteId, dst: SiteId, message: Any) -> None:
         """Deliver an unwrapped protocol message (transport layer exit)."""
@@ -435,11 +345,18 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
+        observer: Optional[Callable[[str, float], None]] = None,
     ) -> None:
         """Run until the event queue drains, ``until`` is reached, or
         ``max_events`` further events have been processed.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` fire.
+
+        ``observer(label, elapsed_seconds)``, when given, is called after
+        every processed event with the event's schedule label and the
+        wall-clock duration of its callback — the hook the opt-in
+        profiler in :mod:`repro.obs.profile` aggregates. It changes no
+        event history.
 
         The loop executes whole same-timestamp *cohorts*
         (:meth:`EventQueue.pop_cohort`): the clock is written once per
@@ -447,8 +364,8 @@ class Simulator:
         between cohorts. Events scheduled at the current instant from
         inside a cohort form the *next* cohort at the same timestamp
         (their sequence numbers are strictly larger), so the fired order
-        is exactly the per-event ``(time, seq)`` order — cohort execution
-        replays the same history byte-for-byte.
+        is exactly the per-event ``(time, seq)`` order of :meth:`step` —
+        cohort execution replays the same history byte-for-byte.
 
         Clock semantics: when ``until`` is given and the loop stops because
         the queue drained *or* the next event lies beyond ``until``, the
@@ -462,65 +379,43 @@ class Simulator:
         event.
         """
         pop_cohort = self._queue.pop_cohort
-        budget = max_events
-        processed = 0
+        # The budget counts down to zero; without max_events it starts
+        # below zero and never reaches it.
+        start = -1 if max_events is None else max(max_events, 0)
+        budget = start
         caught_up = True
         buf: list = []
         cohort: list = buf
         event: Optional[Event] = None
+        perf = perf_counter
         try:
-            if budget is None:
-                while True:
-                    event = None
-                    cohort = pop_cohort(until, buf)
-                    if not cohort:
-                        break
-                    self._now = cohort[0].time
-                    for event in cohort:
-                        # Re-check: an earlier cohort member may have
-                        # cancelled this one after it was popped.
-                        if event.cancelled:
-                            continue
-                        processed += 1
-                        event.fn(*event.args)
-            else:
-                while True:
-                    if budget <= 0:
-                        # Budget ran out mid-flight: clock stays put.
-                        caught_up = False
-                        break
-                    event = None
-                    cohort = pop_cohort(until, buf)
-                    if not cohort:
-                        break
-                    self._now = cohort[0].time
-                    if budget >= len(cohort):
-                        # Whole cohort fits in the budget (cancelled
-                        # members never consume budget, so live count
-                        # <= len(cohort) is a safe bound).
-                        before = processed
-                        for event in cohort:
-                            if event.cancelled:
-                                continue
-                            processed += 1
-                            event.fn(*event.args)
-                        budget -= processed - before
-                    else:
-                        # Budget may run out mid-cohort: fire one at a
-                        # time and requeue the unfired tail.
-                        for idx, event in enumerate(cohort):
-                            if event.cancelled:
-                                continue
-                            if budget <= 0:
-                                caught_up = False
-                                self._queue.requeue(cohort[idx:])
-                                break
-                            budget -= 1
-                            processed += 1
-                            event.fn(*event.args)
+            while budget:
+                event = None
+                cohort = pop_cohort(until, buf)
+                if not cohort:
+                    break
+                self._now = cohort[0].time
+                for event in cohort:
+                    # Re-check: an earlier cohort member may have
+                    # cancelled this one after it was popped.
+                    if event.cancelled:
+                        continue
+                    if not budget:
+                        # Budget ran out mid-cohort: requeue the unfired
+                        # tail (this event included).
+                        self._queue.requeue(cohort[cohort.index(event) :])
                         event = None
-                        if not caught_up:
-                            break
+                        break
+                    budget -= 1
+                    if observer is None:
+                        event.fn(*event.args)
+                    else:
+                        t0 = perf()
+                        event.fn(*event.args)
+                        observer(event.label, perf() - t0)
+            else:
+                # Budget ran out: the run is mid-flight, the clock stays.
+                caught_up = False
         except BaseException:
             # A callback raised: put the unfired tail of the current
             # cohort back so the queue stays complete.
@@ -531,70 +426,7 @@ class Simulator:
         finally:
             # Keep the counters truthful even when a callback raises; at
             # this point _now is still the last processed event's time.
-            self.events_processed += processed
-            if processed:
-                self.last_event_time = self._now
-        if caught_up and until is not None and until > self._now:
-            self._now = until
-
-    def run_instrumented(
-        self,
-        observer: Callable[[str, float], None],
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Like :meth:`run`, but time every event callback.
-
-        ``observer(label, elapsed_seconds)`` is called once per processed
-        event with the event's schedule label and its wall-clock callback
-        duration — the hook the opt-in profiler in
-        :mod:`repro.obs.profile` aggregates. A separate method (rather
-        than a branch in :meth:`run`) so the default loop stays exactly
-        the hot path the benchmark measures; both loops execute the same
-        cohorts and process the identical event history for a given seed.
-        """
-        import time as _time
-
-        perf = _time.perf_counter
-        pop_cohort = self._queue.pop_cohort
-        budget = max_events
-        processed = 0
-        caught_up = True
-        buf: list = []
-        cohort: list = buf
-        event: Optional[Event] = None
-        try:
-            while True:
-                if budget is not None and budget <= 0:
-                    caught_up = False
-                    break
-                event = None
-                cohort = pop_cohort(until, buf)
-                if not cohort:
-                    break
-                self._now = cohort[0].time
-                for idx, event in enumerate(cohort):
-                    if event.cancelled:
-                        continue
-                    if budget is not None:
-                        if budget <= 0:
-                            caught_up = False
-                            self._queue.requeue(cohort[idx:])
-                            break
-                        budget -= 1
-                    processed += 1
-                    start = perf()
-                    event.fn(*event.args)
-                    observer(event.label, perf() - start)
-                event = None
-                if not caught_up:
-                    break
-        except BaseException:
-            if event is not None:
-                pos = cohort.index(event)
-                self._queue.requeue(cohort[pos + 1 :])
-            raise
-        finally:
+            processed = start - budget
             self.events_processed += processed
             if processed:
                 self.last_event_time = self._now

@@ -22,7 +22,6 @@ import pathlib
 
 import pytest
 
-from repro.core.messages import pool
 from repro.experiments.runner import run_mutex
 from repro.verify.fingerprint import (
     GOLDEN_ALGORITHMS,
@@ -85,25 +84,19 @@ def test_per_event_loop_replays_golden_fingerprint(goldens, algorithm, seed):
         )
 
 
-def _summary_digest(config) -> str:
+@pytest.mark.parametrize("algorithm,seed", GRID)
+def test_untraced_run_replays_golden_summary(goldens, algorithm, seed):
+    # The goldens are captured with trace=True; every benchmark and
+    # experiment runs with the trace off, which takes the same delivery
+    # path minus the trace records. The summary digest and the event
+    # count must not depend on it.
+    key = f"{algorithm}/{seed}"
+    expected = goldens[key]
+    config = dataclasses.replace(golden_config(algorithm, seed), trace=False)
     result = run_mutex(config)
     payload = json.dumps(result.summary.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-def test_pooled_messages_replay_identical_summaries(monkeypatch, seed):
-    # Message pooling recycles consumed control messages; armed runs must
-    # produce byte-identical summaries. (The goldens themselves run with
-    # trace=True, which is one of the conditions that keeps the pool
-    # disarmed — so this test compares trace-free runs directly.)
-    config = dataclasses.replace(golden_config("cao-singhal", seed), trace=False)
-    monkeypatch.delenv("REPRO_MSG_POOL", raising=False)
-    plain = _summary_digest(config)
-
-    monkeypatch.setenv("REPRO_MSG_POOL", "1")
-    reused_before = pool.reused
-    pooled = _summary_digest(config)
-    assert not pool.enabled  # run_mutex disarmed it on the way out
-    assert pool.reused > reused_before  # the pool actually engaged
-    assert pooled == plain
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert digest == expected["summary_sha256"], f"{key}: summary diverged"
+    assert result.sim.events_processed == expected["events_processed"], (
+        f"{key}: events_processed diverged"
+    )

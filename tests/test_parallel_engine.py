@@ -10,6 +10,7 @@ records).
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -185,11 +186,25 @@ def test_multi_cpu_host_still_uses_the_pool(monkeypatch):
     assert used["workers"] == 2
 
 
-def test_unpicklable_config_falls_back_in_process():
+def _forbid_executors(monkeypatch, why):
+    def no_pool(*args, **kwargs):
+        raise AssertionError(f"executor constructed {why}")
+
+    for module in (pool_module, concurrent.futures):
+        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            monkeypatch.setattr(module, name, no_pool, raising=False)
+
+
+def test_unpicklable_config_falls_back_in_process(monkeypatch):
+    # A config no process boundary can carry runs in-process, one trial
+    # after another, with a warning; the results match a serial run.
+    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 4)
     config = small_config(cs_duration=lambda: 0.05)
-    with pytest.warns(RuntimeWarning, match="picklable"):
-        out = TrialPool(workers=4).run_seeds(config, [0, 1])
-    assert [s.seed for s in out] == [0, 1]
+    serial = TrialPool(workers=1).run_seeds(config, SEEDS)
+    _forbid_executors(monkeypatch, "for an unpicklable config")
+    with pytest.warns(RuntimeWarning, match="picklable.*in-process"):
+        out = TrialPool(workers=4, chunk_size=1).run_seeds(config, SEEDS)
+    assert canonical(out) == canonical(serial)
 
 
 def test_corrupted_cache_record_is_a_miss_not_a_crash(tmp_path):
@@ -247,44 +262,14 @@ def test_chunked_dispatch_matches_serial(monkeypatch):
 def test_one_chunk_batches_run_in_process(monkeypatch):
     # chunk_size >= trial count collapses the batch into a single chunk;
     # a pool would hand that chunk to one worker anyway, so no executor
-    # (process or thread) may be constructed.
+    # may be constructed.
     monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 4)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("executor constructed for a single chunk")
-
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(pool_module, "ThreadPoolExecutor", no_pool)
+    _forbid_executors(monkeypatch, "for a single chunk")
     out = TrialPool(workers=4, chunk_size=8).run_seeds(small_config(), [0, 1])
     assert [s.seed for s in out] == [0, 1]
 
 
-def test_thread_dispatch_matches_serial(monkeypatch):
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 4)
-
-    def no_process_pool(*args, **kwargs):
-        raise AssertionError("process pool constructed under thread dispatch")
-
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_process_pool)
-    config = small_config()
-    serial = TrialPool(workers=1).run_seeds(config, SEEDS)
-    threaded = TrialPool(
-        workers=2, chunk_size=1, dispatch="thread"
-    ).run_seeds(config, SEEDS)
-    assert canonical(threaded) == canonical(serial)
-
-
-def test_dispatch_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_DISPATCH", "thread")
-    assert TrialPool().dispatch == "thread"
-    monkeypatch.setenv("REPRO_DISPATCH", "fibers")
-    with pytest.raises(ConfigurationError):
-        TrialPool()
-    monkeypatch.delenv("REPRO_DISPATCH")
-    assert TrialPool().dispatch == "auto"
-    assert TrialPool(dispatch="process").dispatch == "process"
-    with pytest.raises(ConfigurationError):
-        TrialPool(dispatch="greenlets")
+def test_chunk_size_must_be_positive():
     with pytest.raises(ConfigurationError):
         TrialPool(chunk_size=0)
 

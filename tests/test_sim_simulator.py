@@ -268,6 +268,54 @@ def test_max_events_exhaustion_mid_cohort_requeues_remainder():
     assert sim.events_processed == 6
 
 
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "run_kwargs",
+    [{}, {"max_events": 100}, {"max_events": 3}, {"observer": lambda label, s: None}],
+    ids=["unbudgeted", "budget-fits", "budget-mid-cohort", "observer"],
+)
+def test_callback_raising_mid_cohort_keeps_the_queue_whole(run_kwargs):
+    # A callback that raises must propagate, count as processed, and
+    # leave the unfired rest of its cohort queued in order, whichever
+    # way the loop was entered.
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        fired.append("boom")
+        raise Boom()
+
+    sim.schedule(5.0, lambda: fired.append(0))
+    sim.schedule(5.0, boom)
+    for i in (2, 3, 4):
+        sim.schedule(5.0, lambda i=i: fired.append(i))
+    with pytest.raises(Boom):
+        sim.run(**run_kwargs)
+    assert fired == [0, "boom"]
+    assert sim.pending_events() == 3
+    assert sim.events_processed == 2
+    assert sim.now == 5.0
+    sim.run()
+    assert fired == [0, "boom", 2, 3, 4]
+    assert sim.events_processed == 5
+
+
+def test_observer_sees_every_event_with_its_label():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: None, "a")
+    sim.schedule(1.0, lambda: None, "b")
+    sim.schedule(2.0, lambda: None, "c")
+    sim.run(max_events=2, observer=lambda label, s: seen.append(label))
+    assert seen == ["a", "b"]
+    sim.run(observer=lambda label, s: seen.append(label))
+    assert seen == ["a", "b", "c"]
+    assert sim.events_processed == 3
+
+
 def test_deterministic_replay_same_seed():
     def transcript(seed):
         sim = Simulator(seed=seed)
