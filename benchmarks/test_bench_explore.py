@@ -2,8 +2,8 @@
 
 Not a paper experiment — a performance benchmark of the stateless model
 checker (``repro.verify.explore``), guarding the explorer rewrite
-(copy-on-apply worlds, incremental fingerprints, sleep-set DPOR). Four
-measurements, archived together in ``BENCH_explore.json``:
+(copy-on-write worlds, interned incremental fingerprints, sleep-set
+DPOR). Four measurements, archived together in ``BENCH_explore.json``:
 
 * **Throughput** — states/sec of a complete cached-DPOR exploration of
   a 2-requesters-sharing-3-arbiters config (transfers on): 21,565
@@ -15,13 +15,15 @@ measurements, archived together in ``BENCH_explore.json``:
   a reference config small enough for the tree to be enumerable at all.
   Transition counts are pure functions of the config, so the ratio is
   asserted hard (``>= 5``), not soft-warned.
-* **Branch-cost ratio** — copy-on-apply ``clone()`` vs the
-  ``copy.deepcopy`` the old explorer used per transition, measured on a
-  mid-exploration world. This is the documented "reach" multiplier: per
-  wall-clock second the new checker executes that many times more
-  transitions than the old engine could (~20× on the reference
-  container), which is how the 3×3-grid N=9 coterie (307,071 states,
-  see DESIGN.md §9) became checkable at all.
+* **Branch-cost ratio** — one transition of the search, ``clone()``
+  then ``apply()``, vs the same ``apply()`` after the ``copy.deepcopy``
+  the old explorer used per transition, measured on a mid-exploration
+  world. Both sides include ``apply()`` because the copy-on-write clone
+  defers its site copy to the action that touches the site. This is the
+  documented "reach" multiplier: per wall-clock second the new checker
+  executes that many times more transitions than the old engine could,
+  which is how the 3×3-grid N=9 coterie (307,071 states, see DESIGN.md
+  §9) became checkable at all.
 * **Fault-budget reach** — a budgeted N=9 grid exploration under a
   one-crash/one-recovery budget: the fault alphabet at paper scale,
   archived as states/sec with its (exact) state budget.
@@ -58,19 +60,19 @@ REDUCTION_REQUESTS = [1, 1, 0]
 REPS = 3
 
 #: Old-explorer per-transition cost proxy: it branched worlds with
-#: ``copy.deepcopy``; the rewrite clones mutable containers one level
-#: deep and shares immutables. Measured 19.6× on the reference
-#: container; soft target ≥10× (the documented reach multiplier).
+#: ``copy.deepcopy``; the rewrite shares every site until an action
+#: touches it, then copies that site's mutable containers one level
+#: deep. Soft target ≥10× (the documented reach multiplier).
 BRANCH_COST_TARGET = 10.0
 
 REDUCTION_TARGET = 5.0
 
-#: States/sec soft floor for the throughput config (measured ~7,000 on
-#: the reference container).
+#: States/sec soft floor for the throughput config (measured ~19,000
+#: with the garbage collector off on a 2-core x86-64 VM).
 THROUGHPUT_TARGET = 2_000.0
 
 #: Exact state budget for the N=9 fault-budget run. The failure-free
-#: N=9 exploration completes at 307,071 states (84 s); adding the
+#: N=9 exploration completes at 307,071 states (37 s); adding the
 #: crash/recover alphabet multiplies the space past completion range,
 #: so this leg documents budgeted reach instead (ISSUE 6 acceptance).
 FAULT_GRID_BUDGET = 20_000
@@ -140,15 +142,13 @@ def test_bench_explore(benchmark) -> None:
         f"DPOR reduction ratio {ratio:.2f}x below {REDUCTION_TARGET}x"
     )
 
-    # --- branch cost: clone() vs the old explorer's deepcopy --------
+    # --- branch cost: clone()+apply() vs deepcopy+apply() ----------
     from repro.verify.explore.world import build_world
 
     world = build_world(THROUGHPUT_QUORUMS, THROUGHPUT_REQUESTS, True)
     for _ in range(6):  # walk mid-exploration so channels are populated
-        actions = world.enabled_actions()
-        if not actions:
-            break
-        world.apply(actions[0])
+        world.apply(world.enabled_actions()[0])
+    action = world.enabled_actions()[0]
 
     def best_of(fn, reps: int = 200) -> float:
         times = []
@@ -158,11 +158,12 @@ def test_bench_explore(benchmark) -> None:
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    clone_s = best_of(world.clone)
-    deepcopy_s = best_of(lambda: copy.deepcopy(world))
-    branch_ratio = deepcopy_s / clone_s
+    branch_s = best_of(lambda: world.clone().apply(action))
+    deepcopy_s = best_of(lambda: copy.deepcopy(world).apply(action))
+    branch_ratio = deepcopy_s / branch_s
     payload["branch_cost"] = {
-        "clone_microseconds": round(clone_s * 1e6, 1),
+        "action": list(action),
+        "branch_microseconds": round(branch_s * 1e6, 1),
         "deepcopy_microseconds": round(deepcopy_s * 1e6, 1),
         "ratio": round(branch_ratio, 1),
     }

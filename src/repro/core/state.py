@@ -254,12 +254,11 @@ class RequesterState:
 
     def clone(self) -> "RequesterState":
         """Independent copy sharing the immutable priorities/transfers."""
-        new = RequesterState(
+        return RequesterState(
             priority=self.priority,
             replied=dict(self.replied),
             grant_epoch=dict(self.grant_epoch),
             failed=self.failed,
             inq_pending=dict(self.inq_pending),
+            tran_stack=self.tran_stack.clone(),
         )
-        new.tran_stack = self.tran_stack.clone()
-        return new

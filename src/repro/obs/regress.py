@@ -25,6 +25,11 @@ which direction is bad and how much drift the noise floor allows:
   hot-key lease cache beating its lease-off control is part of the
   layer's contract, checked absolutely so it holds even against a
   freshly regenerated baseline.
+* ``explore`` — the model checker: ``throughput.states_per_sec``
+  (higher is better); the state and transition counts of the throughput,
+  reduction and N=9 fault-grid runs are exact (they are functions of the
+  config, so any change means the search changed); ``reduction.ratio``
+  must stay at least 5.
 
 Timing metrics default to a generous threshold (CI containers are noisy);
 exact and bounded metrics ignore the threshold entirely.
@@ -195,6 +200,24 @@ def _extract_lock_chaos(payload: Dict[str, Any]) -> Dict[str, float]:
     }
 
 
+def _extract_explore(payload: Dict[str, Any]) -> Dict[str, float]:
+    fields = {
+        "throughput": ("states_per_sec", "states", "transitions"),
+        "reduction": (
+            "unreduced_tree_transitions",
+            "stateless_dpor_transitions",
+            "cached_dpor_transitions",
+            "ratio",
+        ),
+        "fault_grid_n9": ("transitions", "max_depth"),
+    }
+    return {
+        f"{section}.{name}": float(payload[section][name])
+        for section, names in fields.items()
+        for name in names
+    }
+
+
 def _chaos_spec(metric: str) -> MetricSpec:
     if metric.endswith("/throughput"):
         return MetricSpec(direction="higher")
@@ -260,6 +283,31 @@ BENCHMARKS: Dict[str, Tuple[Extractor, Any]] = {
             ),
             "messages_per_acquire": MetricSpec(direction="lower"),
             "p99_wait": MetricSpec(direction="lower"),
+        },
+    ),
+    "explore": (
+        _extract_explore,
+        {
+            "throughput.states_per_sec": MetricSpec(direction="higher"),
+            # Pure functions of the config and the search order: any
+            # change means the explorer visits a different space.
+            "throughput.states": MetricSpec(direction="exact"),
+            "throughput.transitions": MetricSpec(direction="exact"),
+            "reduction.unreduced_tree_transitions": MetricSpec(
+                direction="exact"
+            ),
+            "reduction.stateless_dpor_transitions": MetricSpec(
+                direction="exact"
+            ),
+            "reduction.cached_dpor_transitions": MetricSpec(
+                direction="exact"
+            ),
+            "fault_grid_n9.transitions": MetricSpec(direction="exact"),
+            "fault_grid_n9.max_depth": MetricSpec(direction="exact"),
+            # Absolute floor: sleep sets must keep pruning at least 5x.
+            "reduction.ratio": MetricSpec(
+                direction="higher", bounds=(5.0, float("inf"))
+            ),
         },
     ),
 }

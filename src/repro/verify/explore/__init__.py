@@ -9,8 +9,8 @@ default site class — and extends it along three axes (DESIGN.md,
 
 * :mod:`.search` — sleep-set dynamic partial-order reduction with state
   caching, exact state budgets, and counterexample paths;
-* :mod:`.world` — copy-on-apply worlds with incremental fingerprints
-  and a fault-oracle alphabet (crash/detect/recover/readmit, cut/heal)
+* :mod:`.world` — copy-on-write worlds with interned incremental
+  fingerprints and a fault-oracle alphabet (crash/detect/recover/readmit, cut/heal)
   bounded by a :class:`~repro.ft.chaos.FaultBudget`;
 * :mod:`.counterexample` — shrinking and the JSONL round-trip into
   :class:`~repro.obs.monitor.ProtocolMonitor`.

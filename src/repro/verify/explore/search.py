@@ -58,7 +58,8 @@ class ExplorationResult:
     sleep_pruned: int = 0
     #: Expansions that hit an already-visited state.
     dedup_hits: int = 0
-    #: Terminal-state fingerprints (``collect_terminals=True`` only).
+    #: Terminal-state fingerprints with structural site parts, so sets
+    #: from separate searches compare (``collect_terminals=True`` only).
     terminal_fingerprints: Optional[FrozenSet] = field(
         default=None, repr=False
     )
@@ -248,6 +249,8 @@ def explore(
         sleep_pruned=sleep_pruned,
         dedup_hits=dedup_hits,
         terminal_fingerprints=(
-            frozenset(terminal_fps) if terminal_fps is not None else None
+            initial.expand_fingerprints(terminal_fps)
+            if terminal_fps is not None
+            else None
         ),
     )

@@ -8,18 +8,29 @@ operations the search needs to be fast:
 * :meth:`_World.enabled_actions` — the canonical, deterministic action
   menu (channel-head deliveries, timer firings, fault-oracle steps);
 * :meth:`_World.apply` — execute one action in place;
-* :meth:`_World.clone` — copy-on-apply branching: a hand-rolled clone
-  that shares every immutable object (messages, priorities, quorums)
-  and shallow-copies the mutable containers, replacing the whole-world
-  ``copy.deepcopy`` the first-generation explorer used. The clone is
-  exactly as deep as mutation requires; ``tests/test_explore_dpor.py``
-  pins clone-vs-fresh-build equivalence differentially.
+* :meth:`_World.clone` — copy-on-write branching: the clone shares the
+  parent's site objects and copies the small world-level containers
+  (channels, timers, pipeline). :meth:`_World._dirty` is the one place a
+  site is copied, on the first action that touches it in that world
+  (deliveries touch the destination, timers their owner, oracle steps
+  the crashed site or every live peer they notify); the copy shares
+  every immutable object (messages, priorities, quorums) and copies the
+  mutable containers one level deep. So a transition copies one site,
+  not all of them, where the first-generation explorer deep-copied the
+  whole world. ``tests/test_explore_dpor.py`` pins that a clone never
+  changes its parent and matches a fresh world replayed along the same
+  path, and that the site copy carries every attribute.
 
-Fingerprints are incremental: each site's contribution is cached and
-invalidated only when an action touches that site (deliveries touch the
-destination, timers their owner, oracle steps what they notify), so the
-per-state hashing cost scales with the action's footprint instead of the
-world size.
+Fingerprints are incremental: each site's part is cached and dropped
+only when an action touches that site, so the per-state cost scales
+with the action's footprint instead of the world size. The cached part
+is interned to a small int in a table owned by one search (built with
+the initial world, shared by reference with every clone, freed with the
+worlds when the search returns). The table compares parts by equality,
+so dedup stays exact, and the seen set hashes one int per site instead
+of rehashing nested tuples of priorities. The table is not evicted with
+the seen set; it grows with the distinct states of single sites, which
+are far fewer than the states of the world.
 
 **Fault semantics** mirror the timed injectors (`repro.ft.recovery`)
 under the fail-stop model:
@@ -48,7 +59,16 @@ the lossy fault.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.faults import FaultTolerantSite
 from repro.core.site import CaoSinghalSite
@@ -192,7 +212,8 @@ class _SafetyListener(RunListener):
 
 
 def _clone_site(site, fake_sim: _FakeSim, listener: _SafetyListener):
-    """Copy-on-apply site clone: exactly as deep as mutation requires.
+    """Copy ``site`` into the world of ``fake_sim`` and ``listener``,
+    exactly as deep as mutation requires (called by :meth:`_World._dirty`).
 
     Immutable values (priorities, messages, the quorum frozenset, the
     quorum system) are shared; mutable containers are copied one level
@@ -249,11 +270,13 @@ class _World:
         "pipeline",
         "cuts",
         "_site_fp",
+        "_intern",
     )
 
     def __init__(self, n: int = 0) -> None:
         self.sites: List[CaoSinghalSite] = []
-        #: per-ordered-pair FIFO of undelivered messages
+        #: per-ordered-pair FIFO of undelivered messages; a channel is
+        #: deleted when its last message is delivered, so none is empty
         self.channels: Dict[Tuple[int, int], deque] = {}
         #: pending timers by stable key ``(site, method, seq)``
         self.timers: Dict[Tuple[int, str, int], _FakeTimer] = {}
@@ -270,22 +293,29 @@ class _World:
         self.pipeline: List[Action] = []
         #: currently severed links, normalized (a < b)
         self.cuts: Set[Tuple[int, int]] = set()
-        #: per-site fingerprint cache; ``None`` marks a dirty slot
-        self._site_fp: List[Optional[Tuple]] = [None] * n
+        #: per-site fingerprint cache of interned part ids; ``None``
+        #: marks a dirty slot
+        self._site_fp: List[Optional[int]] = [None] * n
+        #: site part -> id, in order of first sight; shared by reference
+        #: with every clone, so one search owns one table
+        self._intern: Dict[Tuple, int] = {}
 
     # -- branching ---------------------------------------------------------
 
     def clone(self) -> "_World":
+        """Branch this world, sharing every site until an action touches it.
+
+        The clone owns no site: ``sites`` is a new list of the parent's
+        site objects, and :meth:`_dirty` copies a site into the clone on
+        its first touch. A site belongs to a world exactly when it is
+        bound to that world's ``fake_sim``.
+        """
         new = _World.__new__(_World)
-        listener = self.listener.clone()
-        fake_sim = _FakeSim(new)
-        new.sites = [_clone_site(s, fake_sim, listener) for s in self.sites]
-        new.channels = {
-            ch: deque(q) for ch, q in self.channels.items() if q
-        }
+        new.sites = list(self.sites)
+        new.channels = {ch: deque(q) for ch, q in self.channels.items()}
         new.timers = {k: t.clone() for k, t in self.timers.items()}
-        new.listener = listener
-        new.fake_sim = fake_sim
+        new.listener = self.listener.clone()
+        new.fake_sim = _FakeSim(new)
         new.timer_seq = list(self.timer_seq)
         new.crashes_left = self.crashes_left
         new.recoveries_left = self.recoveries_left
@@ -295,6 +325,7 @@ class _World:
         new.pipeline = list(self.pipeline)
         new.cuts = set(self.cuts)
         new._site_fp = list(self._site_fp)
+        new._intern = self._intern
         return new
 
     # -- actions -----------------------------------------------------------
@@ -302,7 +333,7 @@ class _World:
     def enabled_actions(self) -> List[Action]:
         actions: List[Action] = []
         for channel in sorted(self.channels):
-            if self.channels[channel] and not self._is_cut(channel):
+            if not self._is_cut(channel):
                 actions.append(("deliver", channel))
         for key in sorted(self.timers):
             if not self.timers[key].cancelled:
@@ -325,7 +356,10 @@ class _World:
         kind, arg = action
         if kind == "deliver":
             src, dst = arg  # type: ignore[misc]
-            message = self.channels[arg].popleft()
+            queue = self.channels[arg]
+            message = queue.popleft()
+            if not queue:
+                del self.channels[arg]
             self._dirty(dst)
             trace = self.fake_sim.trace if self.fake_sim else None
             if trace is not None and trace.enabled:
@@ -360,6 +394,7 @@ class _World:
 
     def _apply_crash(self, i: int) -> None:
         self._trace_fault("crash", i)
+        self._dirty(i)
         site = self.sites[i]
         self.crashes_left -= 1
         site.crashed = True
@@ -372,16 +407,14 @@ class _World:
             del self.channels[channel]  # fail-stop: in-flight traffic dies
         for key in [k for k in self.timers if k[0] == i]:
             del self.timers[key]  # volatile state: timers die with the site
-        self._dirty(i)
         self.pipeline.append(("detect", i))
 
     def _apply_detect(self, i: int) -> None:
         self._trace_fault("failure-detected", i)
         self.pipeline.remove(("detect", i))
-        for site in self.sites:
-            if site.site_id != i and not site.crashed:
-                self._dirty(site.site_id)
-                site.notify_failure(i)
+        for j in self._live_peers(i):
+            self._dirty(j)
+            self.sites[j].notify_failure(i)
         if self.recoveries_left > 0:
             self.recoveries_left -= 1
             self.pipeline.append(("recover", i))
@@ -389,22 +422,28 @@ class _World:
     def _apply_recover(self, i: int) -> None:
         self._trace_fault("recover", i)
         self.pipeline.remove(("recover", i))
+        self._dirty(i)
         site = self.sites[i]
         site.crashed = False
         still_down = {s.site_id for s in self.sites if s.crashed}
         site.reset_after_recovery(known_failed=still_down)
-        self._dirty(i)
         self.pipeline.append(("readmit", i))
 
     def _apply_readmit(self, i: int) -> None:
         self._trace_fault("readmitted", i)
         self.pipeline.remove(("readmit", i))
-        for site in self.sites:
-            if site.site_id != i and not site.crashed:
-                self._dirty(site.site_id)
-                site.notify_recovery(i)
+        for j in self._live_peers(i):
+            self._dirty(j)
+            self.sites[j].notify_recovery(i)
         self._dirty(i)
         self.sites[i].complete_rejoin()
+
+    def _live_peers(self, i: int) -> List[int]:
+        return [
+            s.site_id
+            for s in self.sites
+            if s.site_id != i and not s.crashed
+        ]
 
     def _is_cut(self, channel: Tuple[int, int]) -> bool:
         if not self.cuts:
@@ -420,38 +459,50 @@ class _World:
     # -- fingerprinting ----------------------------------------------------
 
     def _dirty(self, site_id: int) -> None:
+        """Make site ``site_id`` writable: copy it on first touch, drop
+        its cached fingerprint part. Every mutation of a site goes
+        through ``self.sites[site_id]`` after this call."""
+        site = self.sites[site_id]
+        if site._sim is not self.fake_sim:
+            self.sites[site_id] = _clone_site(
+                site, self.fake_sim, self.listener
+            )
         self._site_fp[site_id] = None
 
     def _site_part(self, i: int) -> Tuple:
+        # Empty containers are the common case: skip their sort.
         s = self.sites[i]
         req = s.req
+        arbiter = s.arbiter
         part: Tuple = (
-            s.state.value,
+            s.state,
             s.crashed,
             s.backlog,
             s.completed,
             s.max_seq_seen,
             req.priority,
-            tuple(sorted(req.replied.items())),
-            tuple(sorted(req.grant_epoch.items())),
+            tuple(sorted(req.replied.items())) if req.replied else (),
+            tuple(sorted(req.grant_epoch.items())) if req.grant_epoch else (),
             req.failed,
-            tuple(sorted(req.inq_pending.items())),
+            tuple(sorted(req.inq_pending.items())) if req.inq_pending else (),
             tuple(req.tran_stack),
-            s.arbiter.lock,
-            s.arbiter.epoch,
-            tuple(s.arbiter.req_queue),
-            tuple(sorted(s._pending_releases.items())),
+            arbiter.lock,
+            arbiter.epoch,
+            tuple(arbiter.req_queue),
+            tuple(sorted(s._pending_releases.items()))
+            if s._pending_releases
+            else (),
         )
         if isinstance(s, FaultTolerantSite):
             part += (
                 s.quorum,
-                tuple(sorted(s.known_failed)),
+                tuple(sorted(s.known_failed)) if s.known_failed else (),
                 s.inaccessible,
                 s.rejoining,
                 None
                 if s._probe_pending is None
                 else tuple(sorted(s._probe_pending)),
-                tuple(sorted(s._rejoin_waiting)),
+                tuple(sorted(s._rejoin_waiting)) if s._rejoin_waiting else (),
                 tuple(m.priority for m in s._rejoin_deferred),
             )
         return part
@@ -459,20 +510,23 @@ class _World:
     def fingerprint(self) -> Tuple:
         """Hashable digest of the full protocol state, for deduplication.
 
-        Exact structural tuples, not hashes: a hash collision would
-        silently prune a reachable state, which is unsound. Per-site
-        parts come from the incremental cache; timers canonicalize to
-        their sorted key multiset so converging interleavings that
-        created the same timers in different orders still collide.
+        Exact, not hashed: a hash collision would silently prune a
+        reachable state, which is unsound. Each site's part is interned
+        to an int in the search's shared table, which compares parts by
+        equality, so equal ids mean equal site states within one search
+        (:meth:`expand_fingerprints` restores the parts for comparison
+        across searches). Timers canonicalize to their sorted key
+        multiset so converging interleavings that created the same
+        timers in different orders still collide.
         """
         fps = self._site_fp
+        intern = self._intern
         for i, part in enumerate(fps):
             if part is None:
-                fps[i] = self._site_part(i)
+                fps[i] = intern.setdefault(self._site_part(i), len(intern))
         channel_parts = tuple(
             (channel, tuple(queue))
             for channel, queue in sorted(self.channels.items())
-            if queue
         )
         timer_parts = tuple(
             sorted(k for k, t in self.timers.items() if not t.cancelled)
@@ -487,6 +541,14 @@ class _World:
             self.cuts_left,
             tuple(self.pipeline),
             tuple(sorted(self.cuts)),
+        )
+
+    def expand_fingerprints(self, fps: Iterable[Tuple]) -> FrozenSet[Tuple]:
+        """``fps`` (from this world's search) with every interned site id
+        replaced by its structural part, comparable across searches."""
+        parts = list(self._intern)  # ids are insertion indices
+        return frozenset(
+            (tuple(parts[k] for k in fp[0]),) + fp[1:] for fp in fps
         )
 
 

@@ -7,15 +7,36 @@ state counts, terminal-state fingerprint sets, and completion — across
 a grid of small configurations and across Hypothesis-generated random
 coteries, while asserting the reduction actually reduces (fewer
 transitions executed) where concurrency exists.
+
+The search's branching is pinned here too: a copy-on-write clone must
+leave its parent untouched and reach the same state as a fresh world
+replayed along the same path, and the per-site copy must carry every
+attribute of the site without sharing any of its mutable containers.
 """
 
 from __future__ import annotations
+
+import random
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.verify.explore import explore
+from repro.core.state import (
+    ArbiterState,
+    RequesterState,
+    RequestQueue,
+    TranStack,
+)
+from repro.verify.explore import FaultBudget, build_world, explore
+from repro.verify.explore.world import (
+    _clone_site,
+    _ExploreFTSite,
+    _ExploreSite,
+    _FakeSim,
+    _SafetyListener,
+)
 
 #: Small configurations whose full state space is cheap in both modes:
 #: (quorums, requests_per_site). Shapes cover a lone site, shared single
@@ -118,3 +139,148 @@ def test_dpor_differential_on_random_coteries(config):
         reduced.terminal_fingerprints == unreduced.terminal_fingerprints
     )
     assert reduced.transitions <= unreduced.transitions
+
+
+# -- copy-on-write branching ---------------------------------------------
+
+#: The benchmark's throughput config, and a three-site coterie under a
+#: crash/recover budget (fault-tolerant sites, the whole oracle
+#: pipeline; crash recovery rebuilds quorums, so it needs a coterie).
+BRANCH_CONFIGS = {
+    "throughput": dict(
+        quorums=[{2, 3, 4}, {2, 3, 4}, {2}, {3}, {4}],
+        requests_per_site=[1, 1, 0, 0, 0],
+    ),
+    "crash-recover": dict(
+        quorums=[{0, 1}, {1, 2}, {0, 2}],
+        requests_per_site=[1, 1, 1],
+        fault_budget=FaultBudget(crashes=1, recoveries=1),
+    ),
+}
+
+
+def _structural(world):
+    """The world's fingerprint with its site parts un-interned."""
+    (fp,) = world.expand_fingerprints([world.fingerprint()])
+    return fp
+
+
+def _random_path(config, seed):
+    """A seeded random action path from the initial world to a terminal
+    state (replaying it from a fresh world is deterministic)."""
+    rng = random.Random(seed)
+    world = build_world(**BRANCH_CONFIGS[config])
+    path = []
+    while True:
+        actions = world.enabled_actions()
+        if not actions:
+            return path
+        path.append(rng.choice(actions))
+        world.apply(path[-1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("config", sorted(BRANCH_CONFIGS))
+def test_clone_then_apply_leaves_parent_and_matches_fresh_replay(config, seed):
+    path = _random_path(config, seed)
+    kinds = {kind for kind, _ in path}
+    assert "deliver" in kinds
+    if config == "crash-recover" and seed == 0:
+        assert {"crash", "detect", "recover", "readmit"} <= kinds
+
+    world = build_world(**BRANCH_CONFIGS[config])
+    n = len(world.sites)
+    for step, action in enumerate(path, 1):
+        before = _structural(world)
+        parts = [world._site_part(i) for i in range(n)]
+        child = world.clone()
+        child.apply(action)
+
+        # The parent is untouched: its cached fingerprint and every site
+        # recomputed from scratch, shared ones included.
+        assert _structural(world) == before
+        assert [world._site_part(i) for i in range(n)] == parts
+        # A site is the child's own copy, bound to the child, or the
+        # very object of an ancestor, bound to that ancestor.
+        copied = []
+        for i, (mine, theirs) in enumerate(zip(child.sites, world.sites)):
+            owned = mine._sim is child.fake_sim
+            assert owned == (mine is not theirs)
+            assert owned == (mine.listener is child.listener)
+            if owned:
+                copied.append(i)
+        if action[0] == "deliver":
+            assert copied == [action[1][1]]  # only the destination
+        elif action[0] == "timer":
+            assert copied == [action[1][0]]  # only the owner
+
+        fresh = build_world(**BRANCH_CONFIGS[config])
+        for replayed in path[:step]:
+            fresh.apply(replayed)
+        assert _structural(child) == _structural(fresh)
+        world = child
+
+
+def _set_attributes(site):
+    """Every attribute set on ``site``: slots across the MRO, then
+    ``__dict__``."""
+    names = set()
+    for cls in type(site).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if hasattr(site, name):
+                names.add(name)
+    names.update(getattr(site, "__dict__", {}))
+    return names
+
+
+MUTABLE = (dict, set, list, deque, ArbiterState, RequesterState)
+
+
+def _assert_faithful_copy(world, site):
+    sim = _FakeSim(world)
+    listener = _SafetyListener()
+    copy = _clone_site(site, sim, listener)
+    assert type(copy) is type(site)
+    names = _set_attributes(site)
+    assert _set_attributes(copy) == names
+    assert copy._sim is sim and copy.listener is listener
+    for name in names - {"_sim", "listener"}:
+        value = getattr(site, name)
+        if isinstance(value, MUTABLE):
+            assert getattr(copy, name) is not value, name
+        else:
+            assert getattr(copy, name) == value, name
+    containers = [
+        (site.arbiter.req_queue, copy.arbiter.req_queue),
+        (site.req.replied, copy.req.replied),
+        (site.req.grant_epoch, copy.req.grant_epoch),
+        (site.req.inq_pending, copy.req.inq_pending),
+        (site.req.tran_stack, copy.req.tran_stack),
+    ]
+    for theirs, mine in containers:
+        assert mine is not theirs
+        if isinstance(theirs, (RequestQueue, TranStack)):
+            theirs, mine = list(theirs), list(mine)
+        assert mine == theirs
+
+
+@pytest.mark.parametrize(
+    "config,site_cls",
+    [("throughput", _ExploreSite), ("crash-recover", _ExploreFTSite)],
+)
+def test_clone_site_copies_every_attribute_and_shares_no_container(
+    config, site_cls
+):
+    """Every state along seeded random paths, every site: the copy sets
+    every attribute the site has set and shares none of its mutable
+    containers."""
+    for seed in range(4):
+        world = build_world(**BRANCH_CONFIGS[config])
+        assert {type(site) for site in world.sites} == {site_cls}
+        for action in _random_path(config, seed):
+            for site in world.sites:
+                _assert_faithful_copy(world, site)
+            world.apply(action)
+        for site in world.sites:
+            _assert_faithful_copy(world, site)

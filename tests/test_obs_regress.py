@@ -203,3 +203,47 @@ def test_markdown_table_lists_every_judged_metric(tmp_path):
         "loss=0.2/cao-singhal/rtx_per_cs",
     ):
         assert needle in markdown
+
+
+EXPLORE = {
+    "throughput": {"states": 21_565, "transitions": 41_989,
+                   "states_per_sec": 8_000.0, "best_seconds": 2.7},
+    "reduction": {"unreduced_tree_transitions": 537,
+                  "stateless_dpor_transitions": 88,
+                  "cached_dpor_transitions": 79, "ratio": 6.8},
+    "fault_grid_n9": {"transitions": 89_252, "max_depth": 56,
+                      "states_per_sec": 3_000.0},
+    "branch_cost": {"branch_microseconds": 20.0},
+}
+
+
+def test_explore_counts_are_exact_throughput_higher_ratio_bounded(tmp_path):
+    base = write_results(tmp_path / "base", explore=EXPLORE)
+    report = check(base, write_results(tmp_path / "same", explore=EXPLORE))
+    assert report.ok
+    assert {r.metric for r in report.results} == {
+        "throughput.states_per_sec", "throughput.states",
+        "throughput.transitions", "reduction.unreduced_tree_transitions",
+        "reduction.stateless_dpor_transitions",
+        "reduction.cached_dpor_transitions", "reduction.ratio",
+        "fault_grid_n9.transitions", "fault_grid_n9.max_depth",
+    }
+
+    changed = copy.deepcopy(EXPLORE)
+    changed["throughput"]["states_per_sec"] *= 0.7
+    changed["throughput"]["transitions"] += 1
+    changed["fault_grid_n9"]["max_depth"] = 55
+    changed["reduction"]["ratio"] = 4.9
+    report = check(base, write_results(tmp_path / "cur", explore=changed))
+    assert {(r.metric, r.status) for r in report.failures} == {
+        ("throughput.states_per_sec", "regression"),
+        ("throughput.transitions", "exact-mismatch"),
+        ("fault_grid_n9.max_depth", "exact-mismatch"),
+        ("reduction.ratio", "bound-violation"),
+    }
+
+    # Faster is never a failure; the ratio floor holds on its own.
+    faster = copy.deepcopy(EXPLORE)
+    faster["throughput"]["states_per_sec"] *= 2
+    report = check(base, write_results(tmp_path / "fast", explore=faster))
+    assert report.ok
